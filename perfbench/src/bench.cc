@@ -12,6 +12,7 @@
 
 #include "data/instance.h"
 #include "spans.h"
+#include "util/stats.h"
 
 namespace perfbench {
 
@@ -40,22 +41,70 @@ int HostThreads() {
   return n > 0 ? static_cast<int>(n) : 1;
 }
 
-double Quantile(std::vector<double> values, double q) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const double pos = q * static_cast<double>(values.size() - 1);
-  const size_t lo = static_cast<size_t>(pos);
-  const size_t hi = std::min(lo + 1, values.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return values[lo] + frac * (values[hi] - values[lo]);
+double Median(const std::vector<double>& values) {
+  return exsample::Percentile(values, 0.5);
 }
-
-double Median(const std::vector<double>& values) { return Quantile(values, 0.5); }
 
 double Mean(const std::vector<double>& values) {
   if (values.empty()) return 0.0;
   return std::accumulate(values.begin(), values.end(), 0.0) /
          static_cast<double>(values.size());
+}
+
+std::vector<double> TimeSetUp(int repeats, const std::function<void()>& discard,
+                              const std::function<void()>& setup) {
+  std::vector<double> seconds;
+  for (int i = 0; i < repeats; ++i) {
+    discard();
+    std::thread run([&] {
+      const double t = WallNow();
+      setup();
+      seconds.push_back(WallNow() - t);
+    });
+    run.join();
+  }
+  return seconds;
+}
+
+ServerStack::~ServerStack() {
+  if (server != nullptr) server->RequestStop();
+  if (serve_thread.joinable()) serve_thread.join();
+  server.reset();
+  manager.reset();
+}
+
+std::unique_ptr<ServerStack> StartServerStack(const ServerStackOptions& options,
+                                              std::string* error) {
+  auto stack = std::make_unique<ServerStack>();
+  stack->pool = std::make_unique<exsample::serve::DatasetPool>(kRepositorySeed);
+  const double t = WallNow();
+  for (const auto& [preset, scale] : options.datasets) stack->pool->Get(preset, scale);
+  stack->generate_s = WallNow() - t;
+  stack->cache = std::make_unique<exsample::serve::StatsCache>();
+  stack->registry = std::make_unique<exsample::obs::Registry>();
+  exsample::serve::SessionManager::Options mopt = options.manager;
+  mopt.stats_cache = stack->cache.get();
+  mopt.metrics = stack->registry.get();
+  stack->manager = std::make_unique<exsample::serve::SessionManager>(mopt);
+  exsample::serve::ProtocolHandler::Options hopt = options.handler;
+  hopt.close_sessions_on_destroy = true;
+  hopt.metrics = stack->registry.get();
+  exsample::net::ServerOptions sopt;
+  sopt.port = 0;
+  sopt.shards = options.shards;
+  sopt.metrics = stack->registry.get();
+  ServerStack* raw = stack.get();
+  auto created = exsample::net::Server::Create(sopt, [raw, hopt] {
+    return std::make_unique<exsample::serve::ProtocolHandler>(
+        raw->manager.get(), raw->cache.get(), raw->pool.get(), hopt);
+  });
+  if (!created.ok()) {
+    *error = created.status().ToString();
+    return nullptr;
+  }
+  stack->server = std::move(created.value());
+  stack->serve_thread = std::thread([raw] { raw->server->Serve(); });
+  return stack;
 }
 
 void Outcome::Error(const std::string& message) {

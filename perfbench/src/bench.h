@@ -15,10 +15,17 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "data/synthetic.h"
 #include "detect/detector.h"
+#include "net/server.h"
+#include "obs/metrics.h"
+#include "serve/protocol_handler.h"
+#include "serve/session_manager.h"
+#include "serve/stats_cache.h"
 #include "util/json.h"
 
 namespace perfbench {
@@ -34,10 +41,17 @@ double PeakRssMb();
 /// Hardware threads of the host (>= 1).
 int HostThreads();
 
-/// q-quantile (q in [0, 1]) by linear interpolation; 0 when empty.
-double Quantile(std::vector<double> values, double q);
+/// exsample::Percentile at 0.5; 0 when empty.
 double Median(const std::vector<double>& values);
 double Mean(const std::vector<double>& values);
+
+/// Runs `setup` `repeats` times and returns the wall seconds of each run.
+/// `discard` runs untimed before every repeat and releases what the
+/// previous one built. Every run happens on a thread of its own, as
+/// set-up does in a fresh process: with every repeat on one thread, the
+/// median of the repeats spread by about a third between processes.
+std::vector<double> TimeSetUp(int repeats, const std::function<void()>& discard,
+                              const std::function<void()>& setup);
 
 /// One metric value with its unit and clock kind ("wall", "cpu",
 /// "modeled", "count", "ratio", "memory").
@@ -52,6 +66,39 @@ struct Metric {
 /// the workload seed picks the query stream (classes, policies, arrival
 /// times and every engine, detector and coordinator RNG stream).
 constexpr uint64_t kRepositorySeed = 1;
+
+/// What an in-process server stack (a serve process or a dist worker)
+/// runs with. The stack fills in the stats cache and metrics registry.
+struct ServerStackOptions {
+  /// (preset, scale) repositories generated before the server starts.
+  std::vector<std::pair<std::string, double>> datasets;
+  exsample::serve::SessionManager::Options manager;
+  exsample::serve::ProtocolHandler::Options handler;
+  int shards = 1;
+};
+
+/// Dataset pool, stats cache, registry, session manager and a
+/// net::Server on a loopback port, served by one thread. Destruction
+/// stops the server and joins its thread.
+struct ServerStack {
+  std::unique_ptr<exsample::serve::DatasetPool> pool;
+  std::unique_ptr<exsample::serve::StatsCache> cache;
+  std::unique_ptr<exsample::obs::Registry> registry;
+  std::unique_ptr<exsample::serve::SessionManager> manager;
+  std::unique_ptr<exsample::net::Server> server;
+  std::thread serve_thread;
+  /// Wall seconds spent generating `datasets`.
+  double generate_s = 0.0;
+
+  ServerStack() = default;
+  ServerStack(const ServerStack&) = delete;
+  ServerStack& operator=(const ServerStack&) = delete;
+  ~ServerStack();
+};
+
+/// Starts a stack; nullptr with `error` set when the server cannot start.
+std::unique_ptr<ServerStack> StartServerStack(const ServerStackOptions& options,
+                                              std::string* error);
 
 /// Command-line settings of one benchmark invocation.
 struct RunConfig {

@@ -20,18 +20,13 @@
 #include "decorators.h"
 #include "dist/coordinator.h"
 #include "exec/multi_query_runner.h"
-#include "net/server.h"
-#include "obs/metrics.h"
-#include "serve/protocol_handler.h"
-#include "serve/session_manager.h"
-#include "serve/stats_cache.h"
 #include "spans.h"
+#include "util/stats.h"
 
 namespace perfbench {
 namespace {
 
 namespace dist = exsample::dist;
-namespace serve = exsample::serve;
 
 constexpr const char* kPreset = "bdd1k";
 constexpr double kScale = 0.5;
@@ -41,7 +36,7 @@ constexpr int64_t kLimit = 50;
 constexpr int64_t kFramesPerPick = 1;
 constexpr int32_t kPicksPerRound = 4;
 // Set-up is milliseconds long; its median over several repeats is steady.
-constexpr int kSetupRepeats = 21;
+constexpr int kSetupRepeats = 61;
 /// Coordinator clients, each a closed loop with one query in flight: one
 /// per hardware thread, like the engine workloads' workers.
 const int kClients = HostThreads();
@@ -54,61 +49,17 @@ const char* ClassOf(uint64_t seed, int64_t id) {
   return kClasses[(seed + static_cast<uint64_t>(id)) % std::size(kClasses)];
 }
 
-/// One worker process's stack, in-process: its own dataset pool, stats
-/// cache, registry, session manager and one-shard server.
-struct Worker {
-  std::unique_ptr<serve::DatasetPool> pool;
-  std::unique_ptr<serve::StatsCache> cache;
-  std::unique_ptr<exsample::obs::Registry> registry;
-  std::unique_ptr<serve::SessionManager> manager;
-  std::unique_ptr<exsample::net::Server> server;
-  std::thread thread;
-
-  Worker() = default;
-  Worker(const Worker&) = delete;
-  Worker& operator=(const Worker&) = delete;
-  ~Worker() {
-    if (server != nullptr) server->RequestStop();
-    if (thread.joinable()) thread.join();
-    server.reset();
-    manager.reset();
-  }
-};
-
-/// Workers and the in-process reference share one seed for their datasets
-/// and shard-session streams (LocalShardBackend ties the two together).
-std::unique_ptr<Worker> StartWorker(std::string* error) {
-  const uint64_t seed = kRepositorySeed;
-  auto w = std::make_unique<Worker>();
-  w->pool = std::make_unique<serve::DatasetPool>(seed);
-  w->pool->Get(kPreset, kScale);
-  w->cache = std::make_unique<serve::StatsCache>();
-  w->registry = std::make_unique<exsample::obs::Registry>();
-  serve::SessionManager::Options mopt;
-  mopt.threads = 1;  // shard sessions are driven synchronously by dist.pick
-  mopt.base_seed = seed;
-  mopt.stats_cache = w->cache.get();
-  mopt.metrics = w->registry.get();
-  w->manager = std::make_unique<serve::SessionManager>(mopt);
-  serve::ProtocolHandler::Options hopt;
-  hopt.default_scale = kScale;
-  hopt.close_sessions_on_destroy = true;
-  hopt.metrics = w->registry.get();
-  exsample::net::ServerOptions sopt;
-  sopt.shards = 1;
-  sopt.metrics = w->registry.get();
-  Worker* raw = w.get();
-  auto created = exsample::net::Server::Create(sopt, [raw, hopt] {
-    return std::make_unique<serve::ProtocolHandler>(raw->manager.get(), raw->cache.get(),
-                                                    raw->pool.get(), hopt);
-  });
-  if (!created.ok()) {
-    *error = created.status().ToString();
-    return nullptr;
-  }
-  w->server = std::move(created.value());
-  w->thread = std::thread([raw] { raw->server->Serve(); });
-  return w;
+/// One worker process's stack, in-process. Workers and the in-process
+/// reference share one seed for their datasets and shard-session streams
+/// (LocalShardBackend ties the two together).
+std::unique_ptr<ServerStack> StartWorker(std::string* error) {
+  ServerStackOptions options;
+  options.datasets = {{kPreset, kScale}};
+  options.manager.threads = 1;  // shard sessions are driven synchronously by dist.pick
+  options.manager.base_seed = kRepositorySeed;
+  options.handler.default_scale = kScale;
+  options.shards = 1;
+  return StartServerStack(options, error);
 }
 
 dist::CoordinatorOptions QueryOptions(uint64_t seed, int64_t id) {
@@ -311,21 +262,21 @@ void RunDistSmallRounds(const RunConfig& cfg, Outcome* out) {
   out->threads["reference_threads"] = HostThreads();
 
   // Set-up: both workers' dataset generation and server start, repeated
-  // for a steady median.
-  std::vector<double> setup;
-  std::vector<std::unique_ptr<Worker>> workers;
-  for (int rep = 0; rep < kSetupRepeats; ++rep) {
-    workers.clear();
-    const double t = WallNow();
-    for (int i = 0; i < kWorkers; ++i) {
-      std::string error;
+  // for a steady median; the last workers serve the run.
+  std::vector<std::unique_ptr<ServerStack>> workers;
+  std::string error;
+  std::vector<double> generate;
+  const std::vector<double> setup = TimeSetUp(kSetupRepeats, [&] { workers.clear(); }, [&] {
+    double generate_s = 0.0;
+    for (int i = 0; i < kWorkers && error.empty(); ++i) {
       workers.push_back(StartWorker(&error));
-      if (workers.back() == nullptr) {
-        out->Error("worker start failed: " + error);
-        return;
-      }
+      if (workers.back() != nullptr) generate_s += workers.back()->generate_s;
     }
-    setup.push_back(WallNow() - t);
+    generate.push_back(generate_s);
+  });
+  if (!error.empty()) {
+    out->Error("worker start failed: " + error);
+    return;
   }
   std::vector<dist::ClientShardBackend::Endpoint> endpoints;
   for (const auto& w : workers) endpoints.push_back({"127.0.0.1", w->server->port()});
@@ -353,12 +304,12 @@ void RunDistSmallRounds(const RunConfig& cfg, Outcome* out) {
     out->Set("queries_per_s", static_cast<double>(completed) / p.wall_s, "1/s", "wall");
     out->Set("cpu_us_per_frame", 1e6 * p.cpu_s / std::max<double>(1.0, static_cast<double>(p.frames)),
              "us", "cpu");
-    out->Extra("query_ms_p50", Median(wall_ms), "ms", "wall");
+    out->Set("query_ms_p50", Median(wall_ms), "ms", "wall");
     out->Extra("ttfr_ms_p50", Median(ttfr_ms), "ms", "wall");
     out->Set("modeled_s_to_k", Median(modeled_to_k), "s", "modeled");
     out->Set("frames_to_k", Median(frames_to_k), "count", "modeled");
     out->Set("peak_rss_mb", PeakRssMb(), "MB", "memory");
-    if (wall_ms.size() >= 100) out->Extra("query_ms_p90", Quantile(wall_ms, 0.9), "ms", "wall");
+    if (wall_ms.size() >= 100) out->Extra("query_ms_p90", exsample::Percentile(wall_ms, 0.9), "ms", "wall");
     Gate(p, cfg.seed, ds, out);
     out->Extra("failed_frac",
                static_cast<double>(out->failed) / std::max<double>(1.0, static_cast<double>(out->attempted)),
@@ -420,7 +371,7 @@ void RunDistSmallRounds(const RunConfig& cfg, Outcome* out) {
   out->Layer("dist.rpc_transport_us_mean", Mean(all_rtt) - server_us, "us");
   out->Layer("dist.bytes_per_frame", bytes / frames, "bytes");
   out->Layer("dist.retries", retries, "count");
-  out->Layer("data.generate_s", Median(setup), "s");
+  out->Layer("data.generate_s", Median(generate), "s");
   const double fps_bare = static_cast<double>(bare.frames) / bare.wall_s;
   const double fps_traced = static_cast<double>(traced.frames) / traced.wall_s;
   out->Layer("obs.trace_overhead_frac", 1.0 - fps_traced / fps_bare, "ratio");

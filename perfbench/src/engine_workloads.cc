@@ -17,7 +17,6 @@
 // against RunAll.
 
 #include <atomic>
-#include <cmath>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -37,6 +36,7 @@
 #include "spans.h"
 #include "track/discriminator.h"
 #include "util/rng.h"
+#include "util/stats.h"
 
 namespace perfbench {
 namespace {
@@ -49,6 +49,9 @@ namespace track = exsample::track;
 /// Frames per Step call: fine enough that time to first result and the
 /// deadline cut are resolved to a few frames.
 constexpr int64_t kSliceFrames = 8;
+/// Set-up (dataset generation) takes milliseconds; its median over this
+/// many repeats is steady.
+constexpr int kSetupRepeats = 61;
 
 struct EngineWorkload {
   std::string preset;
@@ -220,14 +223,11 @@ Phase Drive(const EngineWorkload& w, const exsample::data::Dataset& ds,
 /// timing; weighting every kind equally keeps the figure from jumping
 /// between kinds from run to run.
 double BalancedMedian(const std::map<std::string, std::vector<double>>& by_kind) {
-  double log_sum = 0.0;
-  int kinds = 0;
+  std::vector<double> medians;
   for (const auto& [kind, values] : by_kind) {
-    if (values.empty()) continue;
-    log_sum += std::log(Median(values));
-    ++kinds;
+    if (!values.empty()) medians.push_back(Median(values));
   }
-  return kinds == 0 ? 0.0 : std::exp(log_sum / kinds);
+  return exsample::GeometricMean(medians);
 }
 
 /// Fills the gated end-to-end metrics from an untraced phase.
@@ -262,13 +262,13 @@ void ReportEndToEnd(const Phase& p, double setup_s, Outcome* out) {
            "wall");
   out->Set("cpu_us_per_frame", 1e6 * p.cpu_s / static_cast<double>(p.frames),
            "us", "cpu");
-  out->Extra("query_ms_p50", BalancedMedian(wall_ms), "ms", "wall");
+  out->Set("query_ms_p50", BalancedMedian(wall_ms), "ms", "wall");
   out->Extra("ttfr_ms_p50", BalancedMedian(ttfr_ms), "ms", "wall");
   out->Set("modeled_s_to_k", BalancedMedian(modeled_to_k), "s", "modeled");
   out->Set("frames_to_k", BalancedMedian(frames_to_k), "count", "modeled");
   out->Set("peak_rss_mb", PeakRssMb(), "MB", "memory");
   if (all_wall_ms.size() >= 100) {
-    out->Extra("query_ms_p90", Quantile(all_wall_ms, 0.9), "ms", "wall");
+    out->Extra("query_ms_p90", exsample::Percentile(all_wall_ms, 0.9), "ms", "wall");
   }
   Json per_kind = Json::Object();
   for (const auto& [kind, values] : wall_ms) {
@@ -446,15 +446,11 @@ void ReportLayers(const Phase& traced, const Phase& untraced,
 void RunEngineWorkload(const EngineWorkload& w, std::vector<std::string> class_names,
                        const RunConfig& cfg, Outcome* out) {
   // Set-up: dataset generation, repeated so its median is steady.
-  std::vector<double> setup;
   std::unique_ptr<exsample::data::Dataset> ds;
-  for (int i = 0; i < 7; ++i) {
-    const double t = WallNow();
+  const double setup_s = Median(TimeSetUp(kSetupRepeats, [&] { ds.reset(); }, [&] {
     ds = std::make_unique<exsample::data::Dataset>(
         exsample::data::MakePreset(w.preset, w.scale, kRepositorySeed));
-    setup.push_back(WallNow() - t);
-  }
-  const double setup_s = Median(setup);
+  }));
   std::vector<detect::ClassId> classes;
   for (const std::string& name : class_names) {
     classes.push_back(ds->FindClass(name)->class_id);
