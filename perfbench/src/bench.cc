@@ -51,6 +51,14 @@ double Mean(const std::vector<double>& values) {
          static_cast<double>(values.size());
 }
 
+double BalancedMedian(const std::map<std::string, std::vector<double>>& by_kind) {
+  std::vector<double> medians;
+  for (const auto& [kind, values] : by_kind) {
+    if (!values.empty()) medians.push_back(Median(values));
+  }
+  return exsample::GeometricMean(medians);
+}
+
 std::vector<double> TimeSetUp(int repeats, const std::function<void()>& discard,
                               const std::function<void()>& setup) {
   std::vector<double> seconds;

@@ -44,6 +44,12 @@ int HostThreads();
 /// exsample::Percentile at 0.5; 0 when empty.
 double Median(const std::vector<double>& values);
 double Mean(const std::vector<double>& values);
+/// Median per query kind, combined as the geometric mean over kinds.
+/// Kinds differ in cost by up to ~60x, and how many queries of each kind
+/// finish inside the window depends on timing and on the seed's mix;
+/// weighting every kind equally keeps the figure from jumping between
+/// kinds from run to run.
+double BalancedMedian(const std::map<std::string, std::vector<double>>& by_kind);
 
 /// Runs `setup` `repeats` times and returns the wall seconds of each run.
 /// `discard` runs untimed before every repeat and releases what the
@@ -203,6 +209,11 @@ void RunManyChunks(const RunConfig& cfg, Outcome* out);
 void RunDenseTracks(const RunConfig& cfg, Outcome* out);
 void RunServeOpenLoop(const RunConfig& cfg, Outcome* out);
 void RunDistSmallRounds(const RunConfig& cfg, Outcome* out);
+/// Runs dist_small_rounds' traced halves over `cfg.seconds / 2` after
+/// another traced workload and adds its dist.* per-layer metrics, gate
+/// results, thread counts and notes to `out`. The dist layer is measured
+/// this way on serve_open_loop's traced run (see README.md).
+void AddDistLayers(const RunConfig& cfg, Outcome* out);
 
 }  // namespace perfbench
 

@@ -253,7 +253,9 @@ void Gate(const Phase& p, uint64_t seed, const exsample::data::Dataset& ds, Outc
 
 }  // namespace
 
-void RunDistSmallRounds(const RunConfig& cfg, Outcome* out) {
+/// The workload. `reset_spans` false keeps the spans another traced play
+/// of this process recorded before.
+void RunDist(const RunConfig& cfg, bool reset_spans, Outcome* out) {
   out->threads["dist_workers"] = kWorkers;
   out->threads["worker_server_shards"] = 1;
   out->threads["worker_session_pool"] = 1;
@@ -304,7 +306,7 @@ void RunDistSmallRounds(const RunConfig& cfg, Outcome* out) {
     out->Set("queries_per_s", static_cast<double>(completed) / p.wall_s, "1/s", "wall");
     out->Set("cpu_us_per_frame", 1e6 * p.cpu_s / std::max<double>(1.0, static_cast<double>(p.frames)),
              "us", "cpu");
-    out->Set("query_ms_p50", Median(wall_ms), "ms", "wall");
+    out->Extra("query_ms_p50", Median(wall_ms), "ms", "wall");
     out->Extra("ttfr_ms_p50", Median(ttfr_ms), "ms", "wall");
     out->Set("modeled_s_to_k", Median(modeled_to_k), "s", "modeled");
     out->Set("frames_to_k", Median(frames_to_k), "count", "modeled");
@@ -335,7 +337,7 @@ void RunDistSmallRounds(const RunConfig& cfg, Outcome* out) {
   const double bytes0 = worker_totals("net.bytes_in") + worker_totals("net.bytes_out");
   const double req_n0 = worker_hist("net.request_seconds", false);
   const double req_s0 = worker_hist("net.request_seconds", true);
-  SpanRecorder::Get().Reset(kSpanRecordCap);
+  if (reset_spans) SpanRecorder::Get().Reset(kSpanRecordCap);
   const Phase traced = Drive(endpoints, cfg.seed, cfg.seconds / 2, true, out);
   const double bytes = worker_totals("net.bytes_in") + worker_totals("net.bytes_out") - bytes0;
   const double req_n = worker_hist("net.request_seconds", false) - req_n0;
@@ -375,7 +377,7 @@ void RunDistSmallRounds(const RunConfig& cfg, Outcome* out) {
   const double fps_bare = static_cast<double>(bare.frames) / bare.wall_s;
   const double fps_traced = static_cast<double>(traced.frames) / traced.wall_s;
   out->Layer("obs.trace_overhead_frac", 1.0 - fps_traced / fps_bare, "ratio");
-  out->self_time_table = SelfTimeTable("self time by span, workload dist_small_rounds");
+  out->self_time_table = SelfTimeTable("self time by span, workload " + cfg.workload);
   Gate(traced, cfg.seed, ds, out);
   // Traced vs untraced: the same query ids must give the same results.
   std::map<int64_t, const QueryRecord*> by_id;
@@ -394,6 +396,26 @@ void RunDistSmallRounds(const RunConfig& cfg, Outcome* out) {
       .Set("traced_frames_per_s", fps_traced)
       .Set("untraced_queries", static_cast<int64_t>(bare.queries.size()))
       .Set("traced_queries", static_cast<int64_t>(traced.queries.size()));
+}
+
+void RunDistSmallRounds(const RunConfig& cfg, Outcome* out) { RunDist(cfg, true, out); }
+
+void AddDistLayers(const RunConfig& cfg, Outcome* out) {
+  RunConfig sub = cfg;
+  sub.seconds = cfg.seconds / 2;
+  Outcome dist_out;
+  RunDist(sub, /*reset_spans=*/false, &dist_out);
+  for (const auto& [name, m] : dist_out.layer) {
+    if (name.rfind("dist.", 0) == 0) out->layer[name] = m;
+  }
+  for (const std::string& e : dist_out.errors) out->Error("dist: " + e);
+  for (const std::string& e : dist_out.invalid) out->invalid.push_back("dist: " + e);
+  out->attempted += dist_out.attempted;
+  out->failed += dist_out.failed;
+  for (const auto& [name, n] : dist_out.threads) out->threads["dist." + name] = n;
+  out->notes.Set("dist", dist_out.notes);
+  // The recorder kept both plays' spans, so this table covers both.
+  out->self_time_table = dist_out.self_time_table;
 }
 
 }  // namespace perfbench

@@ -103,7 +103,10 @@ int Main(int argc, char** argv) {
   Outcome out;
   if (cfg.workload == "many_chunks") RunManyChunks(cfg, &out);
   else if (cfg.workload == "dense_tracks") RunDenseTracks(cfg, &out);
-  else if (cfg.workload == "serve_open_loop") RunServeOpenLoop(cfg, &out);
+  else if (cfg.workload == "serve_open_loop") {
+    RunServeOpenLoop(cfg, &out);
+    if (cfg.trace) AddDistLayers(cfg, &out);
+  }
   else if (cfg.workload == "dist_small_rounds") RunDistSmallRounds(cfg, &out);
   else return Usage();
 

@@ -2,12 +2,13 @@
 //
 // An in-process net::Server -> serve::ProtocolHandler -> SessionManager
 // (StatsCache warm start on) is driven by one load-generating process with
-// nproc client connections. Sessions arrive as a seeded Poisson process at
-// a fixed offered rate, then at a short ladder of higher rates. Each
-// session opens at its due time, polls at a fixed cadence until done, then
-// closes. Latencies are timed from the session's due time, so a stalled
-// generator or server shows up as latency instead of silently lowering the
-// load.
+// nproc / 2 client connections. Sessions arrive as a seeded Poisson process
+// at a fixed offered rate; a closed loop then keeps the server saturated;
+// then a short ladder of higher offered rates follows. In the open loop
+// each session opens at its due time, polls at a fixed cadence until done,
+// then closes. Latencies are timed from the session's due time, so a
+// stalled generator or server shows up as latency instead of silently
+// lowering the load.
 //
 // Mix: mostly short find-k sessions (dashcam / night_street, k=10,
 // tracker), some composite sessions on paired_street (and / seq / multi),
@@ -61,6 +62,13 @@ constexpr double kLateLimitMs = 20.0;       // generator health
 constexpr double kBacklogLimit = 0.05;      // accumulating share of arrivals
 constexpr double kDrainSeconds = 20.0;      // max wait for stragglers
 constexpr double kPhaseGapSeconds = 0.3;    // arrival pause between phases
+constexpr double kWarmupSeconds = 1.0;      // untimed start of a fixed-rate play
+constexpr size_t kSaturationLive = 32;      // sessions in flight per connection
+// Shares of an untraced run: fixed rate, ladder, closed-loop saturation.
+constexpr double kFixedShare = 0.4;
+constexpr double kLadderShare = 0.2;
+constexpr double kSaturationShare = 0.4;
+constexpr double kSaturationPlanRate = 5000.0;  // plan sessions per second of play
 constexpr int kSetupRepeats = 101;           // set-up is milliseconds long
 
 struct Preset {
@@ -75,6 +83,9 @@ struct SessionPlan {
   int64_t index = 0;
   double due = 0.0;  // seconds after phase start
   int phase = 0;     // 0 = fixed rate, 1.. = ladder rung
+  /// Arrives in the first kWarmupSeconds of a fixed-rate play: gated like
+  /// every session, but left out of every figure.
+  bool warmup = false;
   Preset preset{};
   std::string class_name;          // single-class sessions
   core::PredicateRequest predicate;  // composite sessions
@@ -88,10 +99,16 @@ struct SessionOutcome {
   bool failed = false;
   /// A result was delivered by more than one poll.
   bool duplicate = false;
+  /// Never opened: a closed-loop play ended first. Not attempted.
+  bool skipped = false;
   int64_t session = -1;
+  /// Seconds from when the arrival was due and its connection was free to
+  /// when the open was sent.
   double late_s = 0.0;
   double ttfr_s = -1.0;
   double query_s = -1.0;
+  /// Seconds from the play's start to the done poll.
+  double done_at = -1.0;
   int64_t frames = 0;
   double cost_seconds = 0.0;
   std::string stop_reason;
@@ -118,6 +135,7 @@ std::vector<SessionPlan> MakeSchedule(uint64_t seed, const std::vector<double>& 
       s.index = static_cast<int64_t>(plan.size());
       s.due = t;
       s.phase = static_cast<int>(ph);
+      s.warmup = rates[ph] == kBaseRate && t - phase_start < kWarmupSeconds;
       const double kind = u(rng);
       const size_t pick = static_cast<size_t>(u(rng) * 1e6);
       // Assumed shares, unverified: 5% long scans (hold session slots, so
@@ -208,18 +226,20 @@ struct LoadResult {
   std::map<std::string, std::vector<double>> rtt_us;
   /// (seconds since start, sessions in flight) samples.
   std::vector<std::pair<double, int64_t>> backlog;
-  /// Peak RSS when the first phase's arrivals end (the ladder after it
-  /// overloads the server on purpose; its transient memory is not counted).
-  double first_phase_peak_rss_mb = 0.0;
   double cpu_s = 0.0;
   double wall_s = 0.0;
   int64_t connect_failures = 0;
 };
 
 /// Plays `plan` against the server on `connections` client threads.
+/// Open loop (`max_live` 0): each session opens at its due time, and its
+/// latencies are timed from then. Closed loop: each connection keeps
+/// `max_live` sessions in flight, opening the next as soon as one closes,
+/// until `horizon`; latencies are timed from the open, and sessions not
+/// opened by then are skipped.
 LoadResult PlayLoad(uint16_t port, const std::vector<SessionPlan>& plan,
                     int connections, bool traced, double horizon,
-                    double first_phase_end) {
+                    size_t max_live = 0) {
   LoadResult out;
   out.sessions.resize(plan.size());
   std::atomic<int64_t> in_flight{0};
@@ -245,15 +265,32 @@ LoadResult PlayLoad(uint16_t port, const std::vector<SessionPlan>& plan,
     RpcClient client(std::move(connected.value()), traced);
     struct Live {
       size_t index;
+      double start;  // latencies are timed from here
       double next_poll;
       std::set<std::tuple<int64_t, double, double, double, double>> seen;
     };
     std::vector<Live> live;
     size_t next = 0;
+    // When the connection's last request returned. An arrival due while a
+    // request is in flight waits for it, but that wait is server time: the
+    // server answers a connection's requests in order, so a pipelined
+    // client's open would wait just as long, and latencies are timed from
+    // the due time, so they include it. Lateness counts the generator only.
+    double free_since = 0.0;
     while (next < mine.size() || !live.empty()) {
       double now = WallNow();
       if (now > hard_stop) break;
-      const double open_due = next < mine.size() ? t0 + plan[mine[next]].due : 1e300;
+      if (max_live > 0 && now >= t0 + horizon) {
+        for (; next < mine.size(); ++next) out.sessions[mine[next]].skipped = true;
+      }
+      double open_due = 1e300;
+      if (next < mine.size()) {
+        if (max_live == 0) {
+          open_due = t0 + plan[mine[next]].due;
+        } else if (live.size() < max_live) {
+          open_due = now;
+        }
+      }
       size_t poll_at = live.size();
       double poll_due = 1e300;
       for (size_t k = 0; k < live.size(); ++k) {
@@ -267,25 +304,30 @@ LoadResult PlayLoad(uint16_t port, const std::vector<SessionPlan>& plan,
         std::this_thread::sleep_for(std::chrono::duration<double>(due - now));
         now = WallNow();
       }
-      if (open_due <= poll_due) {
+      // An arrival that is due goes before every poll, overdue ones too:
+      // polls are the closed-loop part of a session, arrivals the open
+      // loop, so a queue of polls must not delay the next arrival.
+      if (open_due <= std::max(poll_due, now)) {
         const size_t i = mine[next++];
         SessionOutcome& s = out.sessions[i];
-        s.late_s = now - open_due;
+        s.late_s = now - std::max(open_due, free_since);
         auto reply = client.Call(OpenRequest(plan[i]));
         if (!reply.ok() || !reply.value().GetBool("ok", false)) {
           s.failed = true;
           continue;
         }
+        free_since = WallNow();
         s.opened = true;
         s.session = reply.value().GetInt("session", -1);
         in_flight.fetch_add(1);
-        live.push_back({i, WallNow() + kPollCadence, {}});
+        live.push_back({i, max_live == 0 ? open_due : now, free_since + kPollCadence, {}});
         continue;
       }
       Live& l = live[poll_at];
       SessionOutcome& s = out.sessions[l.index];
       auto reply = client.Call(Json::Object().Set("cmd", "poll").Set("session", s.session));
       const double after = WallNow();
+      free_since = after;
       bool finished_session = false;
       if (!reply.ok() || !reply.value().GetBool("ok", false)) {
         s.failed = true;
@@ -303,11 +345,11 @@ LoadResult PlayLoad(uint16_t port, const std::vector<SessionPlan>& plan,
           }
           s.results.push_back(d);
         }
-        const double due_at = t0 + plan[l.index].due;
-        if (n > 0 && s.ttfr_s < 0.0) s.ttfr_s = after - due_at;
+        if (n > 0 && s.ttfr_s < 0.0) s.ttfr_s = after - l.start;
         if (r.GetString("state", "running") != "running") {
           s.done = true;
-          s.query_s = after - due_at;
+          s.query_s = after - l.start;
+          s.done_at = after - t0;
           s.frames = r.GetInt("frames_processed", 0);
           s.cost_seconds = r.GetDouble("cost_seconds", 0.0);
           s.stop_reason = r.GetString("stop_reason", "");
@@ -315,6 +357,7 @@ LoadResult PlayLoad(uint16_t port, const std::vector<SessionPlan>& plan,
           finished_session = true;
           auto closed = client.Call(Json::Object().Set("cmd", "close").Set("session", s.session));
           if (!closed.ok() || !closed.value().GetBool("ok", false)) s.failed = true;
+          free_since = WallNow();
         }
       }
       if (finished_session) {
@@ -335,7 +378,6 @@ LoadResult PlayLoad(uint16_t port, const std::vector<SessionPlan>& plan,
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
       const double t = WallNow() - t0;
       out.backlog.emplace_back(t, in_flight.load());
-      if (t < first_phase_end) out.first_phase_peak_rss_mb = PeakRssMb();
     }
   });
   for (std::thread& t : threads) t.join();
@@ -370,17 +412,18 @@ double BacklogGrowth(const LoadResult& load, double from, double to, double rate
 }
 
 struct PhaseStats {
-  std::vector<double> ttfr_ms, query_ms, late_ms, frames_to_k, modeled_to_k;
+  std::vector<double> ttfr_ms, query_ms, late_ms;
+  /// Sessions that reached k, by kind (preset and class or predicate).
+  std::map<std::string, std::vector<double>> frames_to_k, modeled_to_k;
   int64_t sessions = 0, done = 0, failed = 0, frames = 0, polls = 0, empty_polls = 0;
-  double end_s = 0.0;  // last done time of the phase, from plan start
 };
 
 PhaseStats Summarize(const std::vector<SessionPlan>& plan, const LoadResult& load,
                      int phase) {
   PhaseStats p;
   for (size_t i = 0; i < plan.size(); ++i) {
-    if (plan[i].phase != phase) continue;
     const SessionOutcome& s = load.sessions[i];
+    if (plan[i].phase != phase || plan[i].warmup || s.skipped) continue;
     ++p.sessions;
     if (s.opened) p.late_ms.push_back(1e3 * s.late_s);
     if (s.failed || !s.done) {
@@ -392,11 +435,14 @@ PhaseStats Summarize(const std::vector<SessionPlan>& plan, const LoadResult& loa
     p.polls += s.polls;
     p.empty_polls += s.empty_polls;
     p.query_ms.push_back(1e3 * s.query_s);
-    p.end_s = std::max(p.end_s, plan[i].due + s.query_s);
     if (s.ttfr_s >= 0.0) p.ttfr_ms.push_back(1e3 * s.ttfr_s);
     if (s.stop_reason == "limit") {
-      p.frames_to_k.push_back(static_cast<double>(s.frames));
-      p.modeled_to_k.push_back(s.cost_seconds);
+      const std::string kind = std::string(plan[i].preset.name) + "/" +
+                               (plan[i].class_name.empty()
+                                    ? core::PredicateRequestJson(plan[i].predicate).Dump()
+                                    : plan[i].class_name);
+      p.frames_to_k[kind].push_back(static_cast<double>(s.frames));
+      p.modeled_to_k[kind].push_back(s.cost_seconds);
     }
   }
   return p;
@@ -412,6 +458,7 @@ void Gate(const std::vector<SessionPlan>& plan, const LoadResult& load,
   for (size_t i = 0; i < plan.size(); ++i) {
     const SessionPlan& p = plan[i];
     const SessionOutcome& s = load.sessions[i];
+    if (s.skipped) continue;
     const std::string label = "session " + std::to_string(s.session) + " (plan " +
                               std::to_string(p.index) + ")";
     ++out->attempted;
@@ -474,8 +521,10 @@ void Gate(const std::vector<SessionPlan>& plan, const LoadResult& load,
     checked += validator.checked();
     false_positives += validator.false_positives();
   }
-  out->notes.Set("results_checked", checked)
-      .Set("detector_false_positives", false_positives);
+  // A run gates several plays; the counts add up over them.
+  out->notes.Set("results_checked", out->notes.GetInt("results_checked", 0) + checked)
+      .Set("detector_false_positives",
+           out->notes.GetInt("detector_false_positives", 0) + false_positives);
 }
 
 /// Open-loop health of a fixed-rate play lasting `seconds`: a generator
@@ -498,6 +547,17 @@ std::pair<double, double> CheckHealth(const std::vector<SessionPlan>& plan,
   return {late_p99, growth};
 }
 
+/// Sessions done and their frames over a whole play, warm-up included.
+std::pair<int64_t, int64_t> DoneAndFrames(const LoadResult& load) {
+  int64_t done = 0, frames = 0;
+  for (const SessionOutcome& s : load.sessions) {
+    if (!s.done) continue;
+    ++done;
+    frames += s.frames;
+  }
+  return {done, frames};
+}
+
 double P50(const std::map<std::string, std::vector<double>>& rtt, const std::string& verb) {
   auto it = rtt.find(verb);
   return it == rtt.end() ? 0.0 : Median(it->second);
@@ -507,9 +567,13 @@ double P50(const std::map<std::string, std::vector<double>>& rtt, const std::str
 
 void RunServeOpenLoop(const RunConfig& cfg, Outcome* out) {
   const int nproc = HostThreads();
-  const int session_threads = nproc;
-  const int shards = std::max(1, nproc / 2);
-  const int connections = nproc;
+  // Half as many session-pool threads and connections as vCPUs, one shard
+  // per four: with one of each per vCPU (4 + 2 + 4 busy threads on 4
+  // vCPUs) the saturation rate swung by +-20% between interleaved runs on
+  // a shared host, against +-5% at 2 + 1 + 2.
+  const int session_threads = std::max(1, nproc / 2);
+  const int shards = std::max(1, nproc / 4);
+  const int connections = std::max(1, nproc / 2);
   out->threads["session_pool"] = session_threads;
   out->threads["session_scheduler"] = 1;
   out->threads["server_shards"] = shards;
@@ -531,53 +595,57 @@ void RunServeOpenLoop(const RunConfig& cfg, Outcome* out) {
   }
   const uint16_t port = stack->server->port();
 
-  // Phase durations: the fixed rate gets most of the time; the ladder the
-  // rest. A traced run plays the fixed rate twice (untraced, then traced).
+  // Phases: a traced run plays the fixed rate twice (untraced, then
+  // traced); an untraced run plays the fixed rate, then the closed-loop
+  // saturation phase, then the ladder. One schedule holds the open-loop
+  // phases, so they share one stream of session mixes.
   std::vector<double> rates{kBaseRate};
   std::vector<double> durations;
   if (cfg.trace) {
     rates.push_back(kBaseRate);
     durations = {0.5 * cfg.seconds, 0.5 * cfg.seconds};
   } else {
-    durations = {0.6 * cfg.seconds};
+    durations = {kFixedShare * cfg.seconds};
     for (double r : kLadder) {
       rates.push_back(r);
-      durations.push_back(0.4 * cfg.seconds / std::size(kLadder));
+      durations.push_back(kLadderShare * cfg.seconds / std::size(kLadder));
     }
   }
-  // Pause arrivals between phases so a phase's stragglers do not queue
-  // behind the next phase's load.
-  std::vector<SessionPlan> plan;
-  {
-    std::vector<SessionPlan> all = MakeSchedule(cfg.seed, rates, durations);
-    for (SessionPlan& s : all) {
-      s.due += kPhaseGapSeconds * s.phase;
-      plan.push_back(std::move(s));
+  const std::vector<SessionPlan> schedule = MakeSchedule(cfg.seed, rates, durations);
+  // Phase `ph` of the schedule starts at PhaseStart(ph); a play of phases
+  // [first, last] starts at 0 and pauses arrivals kPhaseGapSeconds between
+  // phases, so a phase's stragglers do not queue behind the next's load.
+  auto phase_start = [&](int ph) {
+    double t = 0.0;
+    for (int j = 0; j < ph; ++j) t += durations[static_cast<size_t>(j)];
+    return t;
+  };
+  auto play_of = [&](int first, int last) {
+    std::vector<SessionPlan> play;
+    for (const SessionPlan& s : schedule) {
+      if (s.phase < first || s.phase > last) continue;
+      play.push_back(s);
+      play.back().due += kPhaseGapSeconds * (s.phase - first) - phase_start(first);
     }
-  }
-  const double horizon = plan.empty() ? 0.0 : plan.back().due;
+    return play;
+  };
+  auto horizon_of = [](const std::vector<SessionPlan>& play) {
+    return play.empty() ? 0.0 : play.back().due;
+  };
 
-  exsample::obs::Registry* registry = stack->registry.get();
-  LoadResult load;
-  Json snap0;
   if (cfg.trace) {
     // Untraced and traced halves are separate plays so the registry delta
-    // and the spans cover the traced half only.
-    std::vector<SessionPlan> first, second;
-    for (const SessionPlan& s : plan) (s.phase == 0 ? first : second).push_back(s);
-    const double second_start = second.empty() ? 0.0 : second.front().due - kPhaseGapSeconds;
-    for (SessionPlan& s : second) {
-      s.due -= second_start;
-      s.phase = 0;
-    }
-    LoadResult bare = PlayLoad(port, first, connections, false,
-                               first.empty() ? 0 : first.back().due, 1e300);
+    // and the spans cover the traced half only. Both are fixed-rate plays.
+    exsample::obs::Registry* registry = stack->registry.get();
+    const std::vector<SessionPlan> first = play_of(0, 0);
+    std::vector<SessionPlan> second = play_of(1, 1);
+    for (SessionPlan& s : second) s.phase = 0;
+    const LoadResult bare = PlayLoad(port, first, connections, false, horizon_of(first));
     const auto [late_p99, growth] =
         CheckHealth(first, bare, durations[0], "untraced play", out);
-    snap0 = registry->Snapshot();
+    const Json snap0 = registry->Snapshot();
     SpanRecorder::Get().Reset(kSpanRecordCap);
-    load = PlayLoad(port, second, connections, true,
-                    second.empty() ? 0 : second.back().due, 1e300);
+    const LoadResult load = PlayLoad(port, second, connections, true, horizon_of(second));
     CheckHealth(second, load, durations[1], "traced play", out);
     const Json snap1 = registry->Snapshot();
     auto delta = [&](const char* name) {
@@ -588,8 +656,10 @@ void RunServeOpenLoop(const RunConfig& cfg, Outcome* out) {
       const double s = SnapshotHistogramSum(snap1, name) - SnapshotHistogramSum(snap0, name);
       return n > 0 ? s / n : 0.0;
     };
-    const PhaseStats b = Summarize(first, bare, 0);
     const PhaseStats p = Summarize(second, load, 0);
+    // Registry deltas and CPU cover whole plays, warm-up included.
+    const int64_t bare_frames = DoneAndFrames(bare).second;
+    const auto [traced_done, traced_frames] = DoneAndFrames(load);
     out->Layer("net.rtt_open_us_p50", P50(load.rtt_us, "open"), "us");
     out->Layer("net.rtt_poll_us_p50", P50(load.rtt_us, "poll"), "us");
     out->Layer("net.rtt_close_us_p50", P50(load.rtt_us, "close"), "us");
@@ -598,7 +668,7 @@ void RunServeOpenLoop(const RunConfig& cfg, Outcome* out) {
     for (const auto& [verb, v] : load.rtt_us) all_rtt.insert(all_rtt.end(), v.begin(), v.end());
     out->Layer("net.request_us_mean", request_us, "us");
     out->Layer("net.transport_us_mean", Mean(all_rtt) - request_us, "us");
-    const double sessions = std::max<double>(1.0, static_cast<double>(p.done));
+    const double sessions = std::max<double>(1.0, static_cast<double>(traced_done));
     out->Layer("net.bytes_per_session", (delta("net.bytes_in") + delta("net.bytes_out")) / sessions,
                "bytes");
     out->Layer("serve.slice_us_mean", 1e6 * hist_mean("serve.slice_seconds"), "us");
@@ -620,8 +690,8 @@ void RunServeOpenLoop(const RunConfig& cfg, Outcome* out) {
     out->Layer("data.generate_s", Median(generate), "s");
     // Open loop: the frame rate is fixed by the schedule, so the tracing
     // cost shows as CPU per frame.
-    const double cpu_bare = bare.cpu_s / std::max<double>(1.0, static_cast<double>(b.frames));
-    const double cpu_traced = load.cpu_s / std::max<double>(1.0, static_cast<double>(p.frames));
+    const double cpu_bare = bare.cpu_s / std::max<double>(1.0, static_cast<double>(bare_frames));
+    const double cpu_traced = load.cpu_s / std::max<double>(1.0, static_cast<double>(traced_frames));
     out->Layer("obs.trace_overhead_frac", 1.0 - cpu_bare / cpu_traced, "ratio");
     out->self_time_table = SelfTimeTable("self time by span, workload serve_open_loop");
     Gate(first, bare, stack->pool.get(), cfg.seed, out);
@@ -629,45 +699,90 @@ void RunServeOpenLoop(const RunConfig& cfg, Outcome* out) {
     return;
   }
 
-  load = PlayLoad(port, plan, connections, false, horizon, durations[0]);
-  const PhaseStats base = Summarize(plan, load, 0);
-  const double d0 = durations[0];
-  const auto [late_p99, growth] = CheckHealth(plan, load, d0, "fixed-rate phase", out);
-  out->Extra("loadgen.late_ms_p99", late_p99, "ms", "wall");
-  out->Extra("loadgen.backlog_growth", growth, "ratio", "count");
-  // CPU and frames over the fixed-rate phase only would need a CPU sample
-  // at its end; the ladder runs after it, so CPU per frame uses the whole
-  // play, whose frames are counted over every phase.
-  int64_t all_frames = 0;
-  for (const SessionOutcome& s : load.sessions) all_frames += s.done ? s.frames : 0;
+  // Fixed rate: latencies, generator health and the sampling cost unit.
+  const std::vector<SessionPlan> fixed = play_of(0, 0);
+  const LoadResult load = PlayLoad(port, fixed, connections, false, horizon_of(fixed));
+  const PhaseStats base = Summarize(fixed, load, 0);
+  const auto [late_p99, growth] = CheckHealth(fixed, load, durations[0], "fixed-rate phase", out);
+  const double d0 = durations[0] - kWarmupSeconds;  // the timed part
   out->Set("setup_s", Median(setup), "s", "wall");
+  // At the fixed rate the schedule sets the frame and session rates, so
+  // they move only when sessions fail, which fails the gate anyway. The
+  // rates the server sets, at saturation below, follow the host too
+  // closely to gate (see README.md); the gated serve cost is CPU per frame.
   out->Set("frames_per_s", static_cast<double>(base.frames) / d0, "1/s", "wall");
   out->Set("queries_per_s", static_cast<double>(base.done) / d0, "1/s", "wall");
-  out->Set("cpu_us_per_frame", 1e6 * load.cpu_s / std::max<double>(1.0, static_cast<double>(all_frames)),
-           "us", "cpu");
-  out->Set("query_ms_p50", Median(base.query_ms), "ms", "wall");
+  out->Extra("query_ms_p50", Median(base.query_ms), "ms", "wall");
   out->Extra("ttfr_ms_p50", Median(base.ttfr_ms), "ms", "wall");
-  out->Set("modeled_s_to_k", Median(base.modeled_to_k), "s", "modeled");
-  out->Set("frames_to_k", Median(base.frames_to_k), "count", "modeled");
-  out->Set("peak_rss_mb", load.first_phase_peak_rss_mb, "MB", "memory");
   if (base.query_ms.size() >= 1000) {
     out->Extra("query_ms_p99", exsample::Percentile(base.query_ms, 0.99), "ms", "wall");
   }
   if (base.ttfr_ms.size() >= 1000) {
     out->Extra("ttfr_ms_p99", exsample::Percentile(base.ttfr_ms, 0.99), "ms", "wall");
   }
+  out->Extra("loadgen.late_ms_p99", late_p99, "ms", "wall");
+  out->Extra("loadgen.backlog_growth", growth, "ratio", "count");
+  out->Set("modeled_s_to_k", BalancedMedian(base.modeled_to_k), "s", "modeled");
+  out->Set("frames_to_k", BalancedMedian(base.frames_to_k), "count", "modeled");
+  const int64_t open_frames = DoneAndFrames(load).second;
+  out->Extra("open_loop_cpu_us_per_frame",
+             1e6 * load.cpu_s / std::max<double>(1.0, static_cast<double>(open_frames)), "us", "cpu");
+  Gate(fixed, load, stack->pool.get(), cfg.seed, out);
+
+  // Saturation: a closed loop that keeps kSaturationLive sessions in flight
+  // on every connection, so the server, not a schedule, sets the frame and
+  // session rates. Sessions done in the first kWarmupSeconds are not timed.
+  // Between sets of ten runs their median moved by up to 26% with the
+  // host's load, so they are reported ungated.
+  const double sat_seconds = kSaturationShare * cfg.seconds;
+  const std::vector<SessionPlan> sat_plan =
+      MakeSchedule(cfg.seed + 1, {kSaturationPlanRate}, {sat_seconds});
+  const LoadResult sat = PlayLoad(port, sat_plan, connections, false, sat_seconds, kSaturationLive);
+  // The ladder after this overloads the server on purpose; its transient
+  // memory is not counted.
+  out->Set("peak_rss_mb", PeakRssMb(), "MB", "memory");
+  int64_t sat_done = 0, sat_frames = 0, sat_skipped = 0;
+  std::vector<double> sat_query_ms;
+  for (const SessionOutcome& s : sat.sessions) {
+    sat_skipped += s.skipped ? 1 : 0;
+    if (!s.done || s.done_at < kWarmupSeconds || s.done_at >= sat_seconds) continue;
+    ++sat_done;
+    sat_frames += s.frames;
+    sat_query_ms.push_back(1e3 * s.query_s);
+  }
+  // A plan that ran out before the play ended would understate the rate.
+  if (sat_skipped == 0) out->Error("saturation play ran out of planned sessions");
+  const double window = sat_seconds - kWarmupSeconds;
+  out->Extra("saturation_frames_per_s", static_cast<double>(sat_frames) / window, "1/s", "wall");
+  out->Extra("saturation_queries_per_s", static_cast<double>(sat_done) / window, "1/s", "wall");
+  // CPU per frame over the whole saturation play: its vCPUs stay busy. In
+  // the open loop they idle between arrivals, and on a shared host every
+  // wake-up can wait for the hypervisor, which inflated CPU per frame there
+  // by up to 70% from one minute to the next.
+  const int64_t sat_all_frames = DoneAndFrames(sat).second;
+  out->Set("cpu_us_per_frame",
+           1e6 * sat.cpu_s / std::max<double>(1.0, static_cast<double>(sat_all_frames)), "us",
+           "cpu");
+  Gate(sat_plan, sat, stack->pool.get(), cfg.seed, out);
+
   // SLO ladder: the highest offered rate whose ttfr p99 meets the limit
-  // with no growing backlog (the fixed rate is the first rung).
+  // with no growing backlog. The fixed rate is the first rung; the higher
+  // rungs are one play, rung `ph` starting at `from` within it.
+  const std::vector<SessionPlan> ladder = play_of(1, static_cast<int>(rates.size()) - 1);
+  const LoadResult climb = PlayLoad(port, ladder, connections, false, horizon_of(ladder));
+  Gate(ladder, climb, stack->pool.get(), cfg.seed, out);
   double slo = 0.0;
-  double start = 0.0;
   Json rungs = Json::Array();
   for (size_t ph = 0; ph < rates.size(); ++ph) {
-    const PhaseStats r = Summarize(plan, load, static_cast<int>(ph));
-    const double from = start + kPhaseGapSeconds * static_cast<double>(ph);
-    const double to = from + durations[ph];
-    start += durations[ph];
+    const bool fixed_rung = ph == 0;
+    const PhaseStats r = fixed_rung ? base : Summarize(ladder, climb, static_cast<int>(ph));
+    const double from =
+        fixed_rung ? 0.0
+                   : phase_start(static_cast<int>(ph)) - phase_start(1) +
+                         kPhaseGapSeconds * static_cast<double>(ph - 1);
     const double p99 = exsample::Percentile(r.ttfr_ms, 0.99);
-    const double g = BacklogGrowth(load, from + 0.5 * durations[ph], to, rates[ph]);
+    const double g = BacklogGrowth(fixed_rung ? load : climb, from + 0.5 * durations[ph],
+                                   from + durations[ph], rates[ph]);
     const bool ok = r.failed == 0 && p99 <= kTtfrLimitMs && g <= kBacklogLimit;
     // Rungs rise; a rate counts only if every lower rung met the SLO too.
     if (ok && (ph == 0 || slo == rates[ph - 1])) slo = rates[ph];
@@ -685,8 +800,10 @@ void RunServeOpenLoop(const RunConfig& cfg, Outcome* out) {
       .Set("fixed_rate_sessions", base.sessions)
       .Set("fixed_rate_done", base.done)
       .Set("ttfr_samples", static_cast<int64_t>(base.ttfr_ms.size()))
-      .Set("data_generate_s", Median(generate));
-  Gate(plan, load, stack->pool.get(), cfg.seed, out);
+      .Set("data_generate_s", Median(generate))
+      .Set("saturation_live_sessions", static_cast<int64_t>(kSaturationLive) * connections)
+      .Set("saturation_sessions_timed", sat_done)
+      .Set("saturation_query_ms_p50", Median(sat_query_ms));
   const double attempted = static_cast<double>(std::max<int64_t>(out->attempted, 1));
   out->Extra("failed_frac", static_cast<double>(out->failed) / attempted, "ratio", "count");
 }
